@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos overload bench bench-short \
+.PHONY: all build vet lint test race bench bench-short \
 	bench-smoke specbench bench-run bench-gate bench-baseline \
 	bench-scenarios bench-scenarios-baseline \
 	bench-restart bench-restart-baseline bench-memory \
@@ -24,29 +24,11 @@ lint:
 	fi
 	$(GO) vet ./...
 
-test: chaos overload
+test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
-
-# Fault-injection suite: the resilience layer (retry/backoff, circuit
-# breaking, deadline propagation, the fault injector itself) and the
-# proxy/client/replay failure paths, all under the race detector.
-chaos:
-	$(GO) test -race ./internal/resilience/... \
-		-run 'Test' -count=1
-	$(GO) test -race ./internal/httpspec/ -count=1 \
-		-run 'TestProxyPartialDisseminate|TestProxyServesStaleWhenOriginDown|TestProxyBreakerOpensAndRecovers|TestProxyStripsHopByHopHeaders|TestStripHopByHop|TestChaosReplayAvailability|TestReplaySummaryChaosFieldOptIn|TestClientCountsStaleServes|TestClientRetriesThroughFaults|TestServerDegradationLadder'
-
-# Overload-control suite: the admission controller and governor unit
-# tests, the server degradation ladder, and the open-loop acceptance run
-# (2x saturation: demand p99 near the no-speculation baseline with >=90%
-# of shed work speculative-class), all under the race detector.
-overload:
-	$(GO) test -race ./internal/overload/... -count=1
-	$(GO) test -race ./internal/httpspec/ -count=1 \
-		-run 'TestServerAdmissionSheds|TestServerDegradationLadder|TestStatsOmitOverloadWhenDisabled|TestOpenLoopOverloadAcceptance'
 
 # Full 90-day evaluation workload; takes several minutes.
 bench:

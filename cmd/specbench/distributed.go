@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -39,6 +40,9 @@ const (
 	// listenPrefix is the handshake line a worker prints on stdout once
 	// its listener is bound; the spawner scans for it to learn the port.
 	listenPrefix = "SPECBENCH_WORKER_LISTENING="
+	// maxJobBytes bounds a /run request body. A job spec is under 1 KB;
+	// anything near this size is not a job.
+	maxJobBytes = 1 << 20
 )
 
 // jobSpec is the wire form of one shard's work order. Fields mirror the
@@ -189,8 +193,12 @@ func workerMux(quit func()) *http.ServeMux {
 			return
 		}
 		var job jobSpec
-		if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-			http.Error(w, "decoding job: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(&job); err != nil {
+			status := http.StatusBadRequest
+			if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "decoding job: "+err.Error(), status)
 			return
 		}
 		cfg, err := job.config()

@@ -150,3 +150,40 @@ func TestWorkerRejectsBadJobs(t *testing.T) {
 		resp.Body.Close()
 	}
 }
+
+// TestWorkerBoundsJobBody: a body past the 1 MiB job limit is refused
+// with 413 before it is buffered, and the same worker then runs a valid
+// job normally.
+func TestWorkerBoundsJobBody(t *testing.T) {
+	srv := httptest.NewServer(workerMux(nil))
+	defer srv.Close()
+
+	huge := `{"schema":"` + strings.Repeat("a", 2*maxJobBytes) + `"}`
+	resp, err := srv.Client().Post(srv.URL+"/run", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized job: status %d, want 413", resp.StatusCode)
+	}
+
+	job := tinyJob(false)
+	job.WithBaseline = false
+	data, _ := json.Marshal(job)
+	resp, err = srv.Client().Post(srv.URL+"/run", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid job after an oversized one: status %d", resp.StatusCode)
+	}
+	var p loadgen.Partial
+	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Schema != loadgen.PartialSchema || p.Spec.Counts.Requests == 0 {
+		t.Errorf("valid job returned an empty partial: %+v", p)
+	}
+}

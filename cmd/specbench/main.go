@@ -12,6 +12,12 @@
 //	specbench -short -o BENCH.json
 //	specbench -short -o BENCH.json -baseline testdata/bench_baseline.json
 //
+// With -server it drives a live specd instead, and with -trace it replays
+// a recorded CLF trace (e.g. from tracegen) against that server rather
+// than generating the workload:
+//
+//	specbench -server http://localhost:8095 -trace trace.log -warmup -1 -reps 1
+//
 // Everything outside the report's timing sections is byte-deterministic
 // for a given seed (same seed ⇒ identical counts and ratios, regardless
 // of worker count or machine), so the gate holds those fields to zero
@@ -29,7 +35,9 @@ import (
 	"specweb/internal/experiments"
 	"specweb/internal/loadgen"
 	"specweb/internal/obs"
+	"specweb/internal/overload"
 	"specweb/internal/synth"
+	"specweb/internal/trace"
 )
 
 func main() {
@@ -41,7 +49,7 @@ func main() {
 		seed    = flag.Int64("seed", 0, "workload seed (0 = the workload's default)")
 
 		workers = flag.Int("workers", 4, "concurrent client drivers")
-		warmup  = flag.Float64("warmup", 0.3, "leading trace fraction replayed sequentially to train the engine")
+		warmup  = flag.Float64("warmup", 0.3, "leading trace fraction replayed sequentially to train the engine (negative = no warmup)")
 		mode    = flag.String("mode", "hybrid", "delivery mode for the speculative arm: push, hints, or hybrid")
 		maxPush = flag.Int("max-push", 16, "documents pushed per response")
 		coop    = flag.Bool("cooperative", false, "clients send cache digests")
@@ -55,6 +63,9 @@ func main() {
 		burst = flag.Int("burst", 1, "requests dispatched per open-loop arrival tick")
 
 		server    = flag.String("server", "", "drive this live server instead of the in-process stack (counts are then not byte-deterministic)")
+		traceF    = flag.String("trace", "", "replay this CLF trace file against -server instead of generating the workload")
+		prioLow   = flag.Float64("priority-low", 0, "fraction of clients tagged Spec-Priority: low (shed first under overload)")
+		feedback  = flag.Bool("attrib-feedback", false, "piggyback Spec-Attrib resolution tokens so the server's /debug/attrib ledger learns delivery fates")
 		realclock = flag.Bool("realclock", false, "in-process server uses wall-clock time (required for latency-driven overload governing; breaks count determinism)")
 		overloadF = flag.Bool("overload", false, "install admission control and the speculation governor on the in-process server")
 		noBase    = flag.Bool("no-baseline-arm", false, "skip the speculation-off arm (faster, but no arm-relative comparison)")
@@ -171,10 +182,18 @@ func main() {
 	cfg.Estguard = *estguardF
 	cfg.MaxRows = *maxRows
 	cfg.RowTopK = *rowTopK
+	cfg.LowPriority = *prioLow
+	cfg.AttribFeedback = *feedback
+	if *traceF != "" {
+		if cfg.Trace, err = readCLF(*traceF); err != nil {
+			fatal(err)
+		}
+	}
 
 	if *spawnN > 0 || *coordF != "" {
-		if *server != "" || *realclock || *estguardF || *maxRows > 0 || *rowTopK > 0 || *restartF || *suite {
-			fatal(fmt.Errorf("distributed runs exclude -server, -realclock, -estguard, -max-rows, -row-topk, -restart, and -scenario-suite"))
+		if *server != "" || *realclock || *estguardF || *maxRows > 0 || *rowTopK > 0 || *restartF || *suite ||
+			*prioLow > 0 || *feedback {
+			fatal(fmt.Errorf("distributed runs exclude -server, -trace, -realclock, -estguard, -max-rows, -row-topk, -restart, -scenario-suite, -priority-low, and -attrib-feedback"))
 		}
 		var addrs []string
 		if *spawnN > 0 {
@@ -377,6 +396,25 @@ func runRestartSuite(cfg loadgen.Config, out, baseline string, tolerance float64
 	fmt.Fprintln(os.Stderr, "specbench: restart gate passed")
 }
 
+// readCLF parses a Common Log Format trace, skipping (and counting)
+// unparseable lines.
+func readCLF(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var bad int
+	tr, err := trace.ParseCLF(f, nil, func(string, error) { bad++ })
+	if err != nil {
+		return nil, err
+	}
+	if bad > 0 {
+		fmt.Fprintf(os.Stderr, "specbench: skipped %d unparseable lines in %s\n", bad, path)
+	}
+	return tr, nil
+}
+
 func readReport(path string) (*loadgen.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -413,6 +451,13 @@ func summarize(rep *loadgen.Report, took time.Duration) {
 	if rel := rep.Relative; rel != nil {
 		fmt.Fprintf(os.Stderr, "  relative p99 %.3fx  throughput %.3fx (spec vs no-spec)\n",
 			rel.P99Ratio, rel.ThroughputRatio)
+	}
+	if r := rep.Spec; r != nil && r.Overload != nil {
+		ov := r.Overload
+		fmt.Fprintf(os.Stderr,
+			"  overload shed %d demand, %d speculative  max rung %d  ended %s (effective Tp %.3f)\n",
+			ov.DemandShed, ov.SpeculativeShed(), ov.Governor.MaxRungSeen,
+			overload.RungName(ov.Governor.Rung), ov.Governor.EffectiveTp)
 	}
 	if r := rep.Spec; r != nil && r.Attrib != nil {
 		at := r.Attrib

@@ -206,14 +206,6 @@ func (g *Guard) DriftScore() float64 {
 	return score
 }
 
-// DriftLoad maps the drift score onto the governor's load scale: 1.0 at
-// the configured threshold. Wired as overload.GovernorConfig.Drift so
-// sustained estimator drift degrades speculation alongside latency
-// pressure.
-func (g *Guard) DriftLoad() float64 {
-	return g.DriftScore() / g.cfg.DriftThreshold
-}
-
 // DriftThreshold exposes the configured early-refresh threshold.
 func (g *Guard) DriftThreshold() float64 { return g.cfg.DriftThreshold }
 

@@ -532,10 +532,6 @@ func (o ServerOverloadStats) SpeculativeShed() int64 {
 	return n
 }
 
-// TotalDemandShed is every demand request refused with 503: ladder sheds
-// (which include admission rejections counted by shedDemand).
-func (o ServerOverloadStats) TotalDemandShed() int64 { return o.DemandShed }
-
 // OverloadStats snapshots the server's overload control.
 func (s *Server) OverloadStats() ServerOverloadStats {
 	st := ServerOverloadStats{

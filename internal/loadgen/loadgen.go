@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -13,6 +14,7 @@ import (
 
 	"specweb/internal/attrib"
 	"specweb/internal/checkpoint"
+	"specweb/internal/core"
 	"specweb/internal/estguard"
 	"specweb/internal/experiments"
 	"specweb/internal/httpspec"
@@ -42,9 +44,10 @@ type Config struct {
 	Workers int
 	// WarmupFraction is the leading share of the trace replayed
 	// sequentially on trace time to train the speculation engine before
-	// measurement begins (default 0.3). The engine is refreshed once at
-	// the warmup boundary and its model then stays frozen, which is
-	// what makes the measured counters deterministic under concurrency.
+	// measurement begins (default 0.3; negative means no warmup, so
+	// every request is measured). The engine is refreshed once at the
+	// warmup boundary and its model then stays frozen, which is what
+	// makes the measured counters deterministic under concurrency.
 	WarmupFraction float64
 
 	// Speculate selects the arm: true drives speculative clients
@@ -88,8 +91,21 @@ type Config struct {
 	// BaseURL drives an external server instead of the in-process
 	// stack. Network runs measure real sockets but cannot promise the
 	// deterministic section stays byte-identical (the server's own
-	// clock governs its speculation refreshes).
+	// clock governs its speculation refreshes). The server's overload and
+	// checkpoint ledgers are read from one end-of-run GET /spec/stats.
 	BaseURL string
+	// Trace, valid only with BaseURL, replays this recorded trace (e.g. a
+	// CLF log) instead of generating Workload. Paths the live server does
+	// not serve count as errors.
+	Trace *trace.Trace `json:"-"`
+	// LowPriority tags roughly this fraction of clients, chosen by a
+	// stable hash of the client ID, with Spec-Priority: low, the demand
+	// class an overloaded server sheds first. 0 tags nobody.
+	LowPriority float64
+	// AttribFeedback piggybacks Spec-Attrib resolution tokens on demand
+	// requests so a live server's own ledger (specd /debug/attrib) learns
+	// the fate of what it speculated.
+	AttribFeedback bool
 	// RealClock makes the in-process server use wall-clock time instead
 	// of the frozen trace clock — required when an overload Governor
 	// should see real latencies, at the cost of count determinism.
@@ -183,7 +199,10 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.WarmupFraction <= 0 || c.WarmupFraction >= 0.95 {
+	switch {
+	case c.WarmupFraction < 0:
+		c.WarmupFraction = 0
+	case c.WarmupFraction == 0 || c.WarmupFraction >= 0.95:
 		c.WarmupFraction = 0.3
 	}
 	if c.MaxPush == 0 {
@@ -238,7 +257,26 @@ func (c Config) validateModes() error {
 	if c.Stream && c.Restart != nil {
 		return fmt.Errorf("loadgen: restart harness requires the materialized trace")
 	}
+	if c.Trace != nil {
+		switch {
+		case c.BaseURL == "":
+			return fmt.Errorf("loadgen: a supplied trace needs a live server (BaseURL)")
+		case c.Stream:
+			return fmt.Errorf("loadgen: a supplied trace cannot be streamed")
+		}
+	}
 	return nil
+}
+
+// lowPriorityClient decides, by a stable hash, whether a client falls in
+// the low-priority fraction — deterministic across runs of one trace.
+func lowPriorityClient(id trace.ClientID, fraction float64) bool {
+	if fraction <= 0 {
+		return false
+	}
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(id))
+	return float64(h.Sum32()%1000) < fraction*1000
 }
 
 // inShard reports whether a client's measurement phase belongs to this
@@ -356,23 +394,33 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 		MaxRows:            cfg.MaxRows,
 		RowTopK:            cfg.RowTopK,
 		Stream:             cfg.Stream,
+		LowPriority:        cfg.LowPriority,
+		AttribFeedback:     cfg.AttribFeedback,
 	}
 	if info.Scenario == "none" {
 		info.Scenario = ""
+	}
+	if cfg.Trace != nil {
+		// The supplied trace replaces the generated workload entirely.
+		info.Profile, info.Days, info.SessionsPerDay, info.Scenario = "", 0, 0, ""
+		info.Trace = true
 	}
 	if err := cfg.validateModes(); err != nil {
 		return nil, nil, info, err
 	}
 
-	// The workload: either a materialized trace (the classic path, and
-	// the StreamMaterialize oracle) or a per-client stream generator the
-	// drive regenerates from on demand.
+	// The workload: a supplied trace, a materialized one (the classic
+	// path, and the StreamMaterialize oracle), or a per-client stream
+	// generator the drive regenerates from on demand.
 	var (
 		site *webgraph.Site
 		tr   *trace.Trace
 		gen  *synth.Stream
 	)
-	if cfg.Stream {
+	switch {
+	case cfg.Trace != nil:
+		tr = cfg.Trace
+	case cfg.Stream:
 		sw, err := experiments.BuildStream(cfg.Workload)
 		if err != nil {
 			return nil, nil, info, err
@@ -383,7 +431,7 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 		} else {
 			gen = sw.Gen
 		}
-	} else {
+	default:
 		wl, err := experiments.Build(cfg.Workload)
 		if err != nil {
 			return nil, nil, info, err
@@ -414,12 +462,13 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 	}
 	warmN := int(cfg.WarmupFraction * float64(n))
 	winfo := &WorkloadInfo{
-		Pages:    site.NumPages(),
 		Clients:  len(order),
 		Trace:    n,
 		Warmup:   warmN,
 		Measured: n - warmN,
-		Bytes:    site.TotalBytes(),
+	}
+	if site != nil {
+		winfo.Pages, winfo.Bytes = site.NumPages(), site.TotalBytes()
 	}
 
 	r := &run{cfg: cfg, clients: make(map[trace.ClientID]*Client)}
@@ -433,7 +482,7 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 	// exports reproduces the single-process ledger.
 	var led *attrib.Ledger
 	if cfg.Speculate {
-		led = attrib.NewLedger(site.NumDocs(), obs.NewRegistry())
+		led = attrib.NewLedger(ledgerCapacity(site, tr), obs.NewRegistry())
 	}
 
 	// The virtual clock: warmup advances it along trace time; after the
@@ -571,8 +620,7 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 		r.hc = &http.Client{Transport: maybeFaulty(rt, obs.NewRegistry())}
 	}
 
-	// One retrier shares the retry budget across all clients, as in
-	// cmd/replay.
+	// One retrier shares the retry budget across all clients.
 	var retrier *resilience.Retrier
 	if cfg.Retry.MaxAttempts > 1 {
 		retrier = resilience.NewRetrier(cfg.Retry)
@@ -587,6 +635,10 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 		if led != nil && cfg.inShard(id) {
 			clientLed = led
 		}
+		var prio string
+		if lowPriorityClient(id, cfg.LowPriority) {
+			prio = "low"
+		}
 		r.clients[id] = &Client{c: httpspec.NewClient(r.base, httpspec.ClientConfig{
 			ID:                string(id),
 			AcceptBundles:     cfg.Speculate,
@@ -595,7 +647,9 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 			HTTP:              r.hc,
 			Timeout:           cfg.Timeout,
 			Retrier:           retrier,
+			Priority:          prio,
 			Attrib:            clientLed,
+			AttribFeedback:    cfg.AttribFeedback,
 		})}
 	}
 
@@ -723,6 +777,9 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 	if cfg.Overload && r.srv != nil {
 		ov := r.srv.OverloadStats()
 		res.Overload = &ov
+	}
+	if r.srv == nil {
+		res.Overload, res.Checkpoint = scrapeServer(r.base)
 	}
 	if (cfg.MaxRows > 0 || cfg.RowTopK > 0) && r.srv != nil {
 		res.Estimator = r.srv.Engine().Stats().Estimator
@@ -1072,9 +1129,21 @@ func (r *run) aggregate(results []*workerResult, elapsed time.Duration, warmupEr
 		c.MissBytes += cs.MissBytes - ws.MissBytes
 		c.SpecHitBytes += cs.SpecHitBytes - ws.SpecHitBytes
 	}
-	c.BaselineBytes = c.MissBytes + c.SpecHitBytes
 	c.WarmupErrors = warmupErrors
+	return paperResult(c, hist, missDurSum, missCount, elapsed)
+}
 
+// paperResult assembles an arm's Result from its measurement-phase counts
+// and wall-clock ledger: the paper's four ratios (§3, Figs. 5–6), each
+// speculative service over the non-speculative baseline the same session
+// caches would have seen. Bandwidth > 1 is the cost of speculation;
+// server load, service time and byte miss rate < 1 are its benefits.
+// Service time charges every speculation-manufactured hit the mean miss
+// time it avoided, so it is wall-clock and lives in Timing. Every ratio
+// is 1 when the run has nothing to compare. aggregate and mergeArms both
+// build through here, so the formulas exist once.
+func paperResult(c Counts, hist *Hist, missDur time.Duration, missCount int64, elapsed time.Duration) *Result {
+	c.BaselineBytes = c.MissBytes + c.SpecHitBytes
 	ratios := Ratios{
 		Bandwidth:    ratio(float64(c.BytesIn), float64(c.BaselineBytes)),
 		ServerLoad:   ratio(float64(c.Requests-c.CacheHits+c.Prefetched), float64(c.Requests-c.CacheHits+c.SpecHits)),
@@ -1093,7 +1162,7 @@ func (r *run) aggregate(results []*workerResult, elapsed time.Duration, warmupEr
 	if n := hist.Count(); n > 0 {
 		var meanMiss time.Duration
 		if missCount > 0 {
-			meanMiss = missDurSum / time.Duration(missCount)
+			meanMiss = missDur / time.Duration(missCount)
 		}
 		observed := float64(hist.sum)
 		baseline := observed + float64(c.SpecHits)*float64(meanMiss)
@@ -1108,4 +1177,40 @@ func ratio(spec, baseline float64) float64 {
 		return 1
 	}
 	return spec / baseline
+}
+
+// ledgerCapacity sizes the attribution ledger past every document the run
+// can touch, so the space-saving sketch never evicts and its updates
+// commute. A supplied trace has no site: its distinct paths stand in,
+// with slack for pushed documents the trace never demands.
+func ledgerCapacity(site *webgraph.Site, tr *trace.Trace) int {
+	if site != nil {
+		return site.NumDocs()
+	}
+	distinct := make(map[string]struct{}, 1024)
+	for i := range tr.Requests {
+		distinct[tr.Requests[i].Path] = struct{}{}
+	}
+	return 2*len(distinct) + 64
+}
+
+// scrapeServer reads a live server's overload and checkpoint ledgers
+// from one GET /spec/stats, outside the (possibly fault-injecting) run
+// transport. Both are nil when the server runs without that control or
+// cannot be reached.
+func scrapeServer(base string) (*httpspec.ServerOverloadStats, *checkpoint.Counters) {
+	hc := &http.Client{Timeout: 10 * time.Second}
+	resp, err := hc.Get(base + "/spec/stats")
+	if err != nil {
+		return nil, nil
+	}
+	defer resp.Body.Close()
+	var payload struct {
+		Engine   core.Stats
+		Overload *httpspec.ServerOverloadStats
+	}
+	if json.NewDecoder(resp.Body).Decode(&payload) != nil {
+		return nil, nil
+	}
+	return payload.Overload, payload.Engine.Checkpoint
 }

@@ -191,8 +191,9 @@ func MergePartials(parts []*Partial) (*Report, error) {
 	return rep, nil
 }
 
-// mergeArms reconstructs one arm's Result from its shard partials using
-// the single-process aggregate formulas over the merged raw state.
+// mergeArms reconstructs one arm's Result from its shard partials by
+// feeding the merged raw state through paperResult, exactly as the
+// single-process aggregate does.
 func mergeArms(arms []PartialArm) (*Result, error) {
 	var (
 		c         Counts
@@ -238,36 +239,7 @@ func mergeArms(arms []PartialArm) (*Result, error) {
 		}
 		exports = append(exports, a.Attrib)
 	}
-	c.BaselineBytes = c.MissBytes + c.SpecHitBytes
-
-	res := &Result{
-		Counts: c,
-		Ratios: Ratios{
-			Bandwidth:    ratio(float64(c.BytesIn), float64(c.BaselineBytes)),
-			ServerLoad:   ratio(float64(c.Requests-c.CacheHits+c.Prefetched), float64(c.Requests-c.CacheHits+c.SpecHits)),
-			ByteMissRate: ratio(float64(c.MissBytes), float64(c.BaselineBytes)),
-		},
-	}
-	timing := &Timing{
-		DurationSeconds: elapsed.Seconds(),
-		Latency:         quantiles(hist),
-		Histogram:       hist.Buckets(),
-		ServiceTime:     1,
-	}
-	if elapsed > 0 {
-		timing.Throughput = float64(hist.Count()) / elapsed.Seconds()
-	}
-	if hist.Count() > 0 {
-		var meanMiss time.Duration
-		if missCount > 0 {
-			meanMiss = missDur / time.Duration(missCount)
-		}
-		observed := float64(hist.sum)
-		baseline := observed + float64(c.SpecHits)*float64(meanMiss)
-		timing.ServiceTime = ratio(observed, baseline)
-	}
-	res.Timing = timing
-
+	res := paperResult(c, hist, missDur, missCount, elapsed)
 	if haveAttr {
 		rep, err := attrib.MergeExports(exports, attribTopDocs)
 		if err != nil {

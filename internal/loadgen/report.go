@@ -67,6 +67,14 @@ type ConfigInfo struct {
 	// cursors instead of a materialized trace; absent (false) for
 	// materialized runs, so existing reports stay byte-identical.
 	Stream bool `json:"stream,omitempty"`
+	// Trace marks a network run that replayed a supplied trace instead of
+	// generating the workload (whose profile fields are then blank);
+	// LowPriority and AttribFeedback echo the client-side tagging knobs.
+	// All absent for generated workloads, so existing reports stay
+	// byte-identical.
+	Trace          bool    `json:"trace,omitempty"`
+	LowPriority    float64 `json:"low_priority,omitempty"`
+	AttribFeedback bool    `json:"attrib_feedback,omitempty"`
 }
 
 // WorkloadInfo describes the generated workload.

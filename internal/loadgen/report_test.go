@@ -2,8 +2,10 @@ package loadgen
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleReport() *Report {
@@ -126,5 +128,59 @@ func TestCompareAbsoluteMode(t *testing.T) {
 	v := Compare(sampleReport(), cur, CompareOptions{Absolute: true})
 	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "throughput_rps") {
 		t.Fatalf("absolute throughput regression not flagged: %v", v)
+	}
+}
+
+// TestRatioFormulas checks the paper-ratio arithmetic on hand-built counts.
+func TestRatioFormulas(t *testing.T) {
+	c := Counts{
+		Requests:     10,
+		CacheHits:    4,
+		SpecHits:     2,
+		Prefetched:   1,
+		Pushed:       2,
+		BytesIn:      9000,
+		SpecHitBytes: 2000,
+		DemandBytes:  10000,
+		MissBytes:    6000,
+	}
+	hist := NewHist()
+	for _, ms := range []float64{1, 2, 3, 4, 10, 1} {
+		hist.Observe(time.Duration(ms * float64(time.Millisecond)))
+	}
+	res := paperResult(c, hist, 19*time.Millisecond, 4, time.Second)
+	// baseline bytes = 6000 + 2000 = 8000
+	if res.Counts.BaselineBytes != 8000 {
+		t.Fatalf("baseline bytes = %d, want 8000", res.Counts.BaselineBytes)
+	}
+	if got, want := res.Ratios.Bandwidth, 9000.0/8000.0; math.Abs(got-want) > 1e-9 {
+		t.Errorf("bandwidth ratio = %g, want %g", got, want)
+	}
+	// server load: (10-4+1)/(10-4+2) = 7/8
+	if got, want := res.Ratios.ServerLoad, 7.0/8.0; math.Abs(got-want) > 1e-9 {
+		t.Errorf("server load ratio = %g, want %g", got, want)
+	}
+	// byte miss rate: 6000/8000
+	if got, want := res.Ratios.ByteMissRate, 0.75; math.Abs(got-want) > 1e-9 {
+		t.Errorf("byte miss rate ratio = %g, want %g", got, want)
+	}
+	// service time: sum(lat)=0.021; baseline = 0.021 + 2*(0.019/4)
+	wantST := 0.021 / (0.021 + 2*0.019/4)
+	if got := res.Timing.ServiceTime; math.Abs(got-wantST) > 1e-9 {
+		t.Errorf("service time ratio = %g, want %g", got, wantST)
+	}
+	if lat := res.Timing.Latency; lat.Max != 10 {
+		t.Errorf("max latency = %gms, want 10", lat.Max)
+	}
+	if lat := res.Timing.Latency; lat.P50 <= 0 || lat.P99 < lat.P50 {
+		t.Errorf("implausible percentiles: %+v", lat)
+	}
+}
+
+// TestRatioFormulasEmpty keeps the degenerate case neutral.
+func TestRatioFormulasEmpty(t *testing.T) {
+	res := paperResult(Counts{}, NewHist(), 0, 0, 0)
+	if r := res.Ratios; r.Bandwidth != 1 || r.ServerLoad != 1 || r.ByteMissRate != 1 || res.Timing.ServiceTime != 1 {
+		t.Errorf("empty run should yield neutral ratios, got %+v, service time %g", r, res.Timing.ServiceTime)
 	}
 }

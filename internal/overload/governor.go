@@ -89,14 +89,6 @@ type GovernorConfig struct {
 	// Controller.Pressure); the governor acts on max(latency load,
 	// pressure). nil means latency only.
 	Pressure func() float64
-	// Drift optionally supplies the estimator-drift load signal (e.g.
-	// estguard.Guard.DriftLoad, normalized so 1.0 means the drift
-	// threshold). When the frozen snapshot no longer matches live
-	// traffic, speculation is spending bytes on a stale model — that is
-	// load-shaped waste, so the governor folds it into the same
-	// max(...) and degrades push→hint→nothing alongside latency
-	// pressure. nil means no drift input.
-	Drift func() float64
 	// Clock supplies time; nil means time.Now. Tests step their own.
 	Clock func() time.Time
 	// Metrics selects the registry; nil means obs.Default.
@@ -237,19 +229,14 @@ func (g *Governor) Tick() {
 }
 
 // evaluateLocked applies the control law: load = max(latency EWMA /
-// target, admission pressure, estimator drift); climb on load ≥
-// HighWater, descend on load ≤ LowWater, at most one rung per Hold.
+// target, admission pressure); climb on load ≥ HighWater, descend on
+// load ≤ LowWater, at most one rung per Hold.
 // Callers hold g.mu.
 func (g *Governor) evaluateLocked() {
 	load := g.ewma / g.cfg.Target.Seconds()
 	if g.cfg.Pressure != nil {
 		if p := g.cfg.Pressure(); p > load {
 			load = p
-		}
-	}
-	if g.cfg.Drift != nil {
-		if d := g.cfg.Drift(); d > load {
-			load = d
 		}
 	}
 	g.loadG.Set(load)

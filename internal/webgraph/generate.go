@@ -55,11 +55,6 @@ type Profile struct {
 	ObjectUpdateProb float64 // objects change essentially never
 }
 
-// ProfileNames lists the built-in profile names ProfileByName accepts.
-func ProfileNames() []string {
-	return []string{"department", "media", "tiny"}
-}
-
 // ProfileByName resolves a command-line profile name — the switch shared
 // by every cmd that builds a site.
 func ProfileByName(name string) (Profile, error) {

@@ -21,6 +21,7 @@ package webgraph
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // DocID identifies a document within a Site. IDs are dense: valid IDs are
@@ -115,7 +116,10 @@ type Site struct {
 	Entries   []DocID
 	EntrySkew float64
 
-	byPath map[string]DocID
+	// byPath is built on first lookup; indexOnce makes that safe when a
+	// server's concurrent first requests race to it.
+	indexOnce sync.Once
+	byPath    map[string]DocID
 }
 
 // Doc returns the document with the given ID. It panics if id is invalid;
@@ -132,9 +136,7 @@ func (s *Site) Valid(id DocID) bool {
 
 // ByPath returns the document with the given URL path, or nil.
 func (s *Site) ByPath(path string) *Document {
-	if s.byPath == nil {
-		s.indexPaths()
-	}
+	s.indexOnce.Do(s.indexPaths)
 	id, ok := s.byPath[path]
 	if !ok {
 		return nil

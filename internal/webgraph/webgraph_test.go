@@ -1,6 +1,7 @@
 package webgraph
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +176,24 @@ func TestByPath(t *testing.T) {
 	}
 }
 
+// TestByPathConcurrentFirstLookup: a server's first requests reach the
+// lazily built path index concurrently; under -race this fails if the
+// index build is unsynchronized.
+func TestByPathConcurrentFirstLookup(t *testing.T) {
+	s := genSite(t, TinySite(), 29)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(d *Document) {
+			defer wg.Done()
+			if got := s.ByPath(d.Path); got == nil || got.ID != d.ID {
+				t.Errorf("ByPath(%q) = %v", d.Path, got)
+			}
+		}(&s.Docs[i])
+	}
+	wg.Wait()
+}
+
 func TestValidateRejectsBadSites(t *testing.T) {
 	cases := []struct {
 		name string
@@ -212,7 +231,8 @@ func TestValidateRejectsBadSites(t *testing.T) {
 			Entries: []DocID{0},
 		}},
 	}
-	for _, c := range cases {
+	for i := range cases {
+		c := &cases[i]
 		if err := c.site.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid site", c.name)
 		}
